@@ -111,8 +111,10 @@ use evematch_eval::experiments::{
 };
 use evematch_eval::SupportCachePool;
 use evematch_eval::{project_dataset, Method, RunOutcome, Table};
-use evematch_eventlog::{ColumnarLog, EventId};
-use evematch_pattern::{compiled_pattern_support, pattern_support, CompiledPattern};
+use evematch_eventlog::EventId;
+use evematch_pattern::{
+    compiled_pattern_support_stats, pattern_support, CompiledPattern, SupportStats,
+};
 
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
@@ -447,7 +449,7 @@ fn run_matcher() -> ExitCode {
     let ds = datasets::larger_synthetic(modules, kernel_traces, seed);
     let log2 = &ds.pair.log2;
     let idx = log2.trace_index();
-    let col = ColumnarLog::from_log(log2);
+    let col = log2.traces();
     let n2 = log2.event_count() as u32;
     println!(
         "bench matcher: {} complex patterns on larger_synthetic({modules}, {kernel_traces}, \
@@ -478,7 +480,8 @@ fn run_matcher() -> ExitCode {
         let mapped = p.map_events(&|e| images[evs.binary_search(&e).expect("own event")]);
         let interp = pattern_support(&mapped, log2, &idx);
         if let Some(cp) = &compiled[*pi] {
-            let comp = compiled_pattern_support(cp, images, &col, &idx);
+            let comp =
+                compiled_pattern_support_stats(cp, images, col, &idx, &mut SupportStats::default());
             if interp != comp {
                 eprintln!(
                     "error: engines diverged on pattern #{pi} {p:?} under {images:?}: \
@@ -500,7 +503,13 @@ fn run_matcher() -> ExitCode {
                 let p = &ds.patterns[*pi];
                 match (&compiled[*pi], use_compiled) {
                     (Some(cp), true) => {
-                        total += compiled_pattern_support(cp, images, &col, &idx) as u64;
+                        total += compiled_pattern_support_stats(
+                            cp,
+                            images,
+                            col,
+                            &idx,
+                            &mut SupportStats::default(),
+                        ) as u64;
                     }
                     _ => {
                         let evs = p.events();

@@ -119,7 +119,6 @@ pub struct MatchContext {
     dep1: DepGraph,
     dep2: DepGraph,
     index2: TraceIndex,
-    columnar2: ColumnarLog,
     patterns: Vec<EvaluatedPattern>,
     pattern_index: PatternIndex,
     complex_count: usize,
@@ -149,7 +148,6 @@ impl MatchContext {
         }
         let index1 = log1.trace_index();
         let index2 = log2.trace_index();
-        let columnar2 = ColumnarLog::from_log(&log2);
         let dep2 = log2.dep_graph();
         let patterns: Vec<EvaluatedPattern> = pattern_list
             .into_iter()
@@ -163,7 +161,6 @@ impl MatchContext {
             dep1,
             dep2,
             index2,
-            columnar2,
             patterns,
             pattern_index,
             complex_count,
@@ -196,10 +193,9 @@ impl MatchContext {
         &self.index2
     }
 
-    /// Struct-of-arrays view of `L2` (built once beside [`Self::index2`])
-    /// — the compiled matcher's scan surface.
+    /// The trace store of `L2` — the surface every support scan reads.
     pub fn columnar2(&self) -> &ColumnarLog {
-        &self.columnar2
+        self.log2.traces()
     }
 
     /// `|V1|`.

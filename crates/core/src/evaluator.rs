@@ -25,9 +25,8 @@ use std::sync::Arc;
 use evematch_eventlog::EventId;
 use evematch_graph::{IsoStats, MonoSearch};
 use evematch_pattern::{
-    compiled_pattern_support_stats, compiled_pattern_support_with_fuel_stats, is_realizable,
-    is_realizable_with_fuel, pattern_support_stats, pattern_support_with_fuel_stats,
-    CompiledPattern, Interrupted, MatcherEngine, SupportStats,
+    is_realizable_with_fuel, support_scan, CompiledPattern, MatcherEngine, SupportStats,
+    TraceMatcher,
 };
 
 use crate::bounds::PruneReason;
@@ -218,9 +217,9 @@ fn context_fingerprint(ctx: &MatchContext) -> u64 {
     for log in [ctx.log1(), ctx.log2()] {
         h = fnv_u64(h, log.event_count() as u64);
         h = fnv_u64(h, log.len() as u64);
-        for trace in log.traces() {
-            h = fnv_u64(h, trace.events().len() as u64);
-            for &e in trace.events() {
+        for trace in log.traces().iter() {
+            h = fnv_u64(h, trace.len() as u64);
+            for &e in trace {
                 h = fnv_u64(h, e.index() as u64);
             }
         }
@@ -304,21 +303,22 @@ impl EvalConfig {
     }
 }
 
-/// A support value computed ahead of time on a worker thread, together
-/// with everything the driving thread needs to attribute counters exactly
-/// as the sequential evaluation would have.
+/// What one cache-miss support computation found ([`compute_support`]),
+/// before any counter is attributed: inline evaluations and prefetched
+/// outcomes replayed on the driving thread both go through
+/// [`Evaluator::attribute`].
 #[derive(Clone, Copy, Debug)]
-struct PrefetchOutcome {
-    /// The exact support, or `None` when the scan was fuel-interrupted
-    /// (only a deadline can do that; the consumer recomputes inline).
+struct SupportOutcome {
+    /// The exact support, or `None` when fuel ran dry mid-computation
+    /// (only a deadline can do that).
     support: Option<u32>,
-    /// Fuel polls the computation performed (replayed into
-    /// `eval.fuel_spent` when consumed on the fueled path).
+    /// Proposition 3's verdict: `Some(false)` answered 0 without a log
+    /// scan, `Some(true)` went on to scan, `None` ran out of fuel first.
+    realizable: Option<bool>,
+    /// Fuel polls the computation performed.
     fuel_polls: u64,
     /// The scan's work counters.
     scan: SupportStats,
-    /// Whether Proposition 3 answered without a log scan.
-    existence_pruned: bool,
 }
 
 /// Counters describing how much work an evaluator did — these feed the
@@ -418,7 +418,7 @@ pub struct Evaluator<'a> {
     /// Outcomes computed ahead of time by [`Self::prefetch_supports`],
     /// consumed (and counter-attributed) in sequential order by
     /// [`Self::mapped_support`].
-    prefetched: BTreeMap<SupportKey, PrefetchOutcome>,
+    prefetched: BTreeMap<SupportKey, SupportOutcome>,
     /// Worker threads batched prefetches may use (`<= 1` = sequential).
     threads: usize,
     /// The solver run's budget meter. The evaluator ticks it before every
@@ -754,133 +754,71 @@ impl<'a> Evaluator<'a> {
         // work; advance the deadline poll cadence before paying it.
         self.meter.tick();
         self.tele.profile.charge(WorkCol::MeterTicks, 1);
-        // Replay a prefetched outcome if a worker already paid for this
-        // key, attributing counters exactly as the inline path below would
-        // at *this* point of the sequential order.
+        // Once the meter is exhausted, evaluations run in grace mode (see
+        // the method docs): exact, unfueled, cached.
+        let grace = self.meter.is_exhausted();
+        // Replay a prefetched outcome if a worker already completed this
+        // key: attributing it here charges exactly what the inline path
+        // would at *this* point of the sequential order. A completed
+        // fueled scan holds the same exact value and scan counters a
+        // grace recomputation would. An interrupted prefetch is
+        // recomputed inline.
         if let Some(out) = self.prefetched.remove(&key) {
-            if self.meter.is_exhausted() {
-                if let Some(support) = out.support {
-                    // The sequential run would take the grace path here. A
-                    // completed fueled scan produced the same exact value
-                    // (and scan counters) a grace recomputation would, and
-                    // grace evaluations never charge fuel.
-                    self.tele.registry.inc(ids.grace_evals);
-                    if out.existence_pruned {
-                        self.tele.registry.inc(ids.existence_pruned);
-                    } else {
-                        self.tele.registry.inc(ids.log_scans);
-                    }
-                    self.absorb_scan(&out.scan);
-                    self.cache.insert(key, support, self.owner);
-                    return support;
-                }
-                // Interrupted prefetch: fall through to the inline grace
-                // recomputation below.
-            } else if let Some(support) = out.support {
-                // Fueled path, replayed: the worker's fuel polls are the
-                // ones the inline computation would have performed.
-                if out.existence_pruned {
-                    self.tele.registry.inc(ids.existence_pruned);
-                } else {
-                    self.tele.registry.inc(ids.log_scans);
-                }
-                self.tele.registry.add(ids.fuel_spent, out.fuel_polls);
-                self.tele
-                    .profile
-                    .charge(WorkCol::MeterTicks, out.fuel_polls);
-                self.absorb_scan(&out.scan);
-                self.cache.insert(key, support, self.owner);
-                return support;
+            if out.support.is_some() {
+                return self.attribute(key, out, grace);
             }
-            // `out.support == None` with a non-exhausted meter cannot
-            // happen (workers only interrupt after the shared meter
-            // latched); recompute inline if it somehow does.
         }
-        let dep2 = ctx.dep2();
-        let mapped = ep.pattern.map_events(&|e| image_of(ep, e, images));
-        let edge_ok = |a: EventId, b: EventId| dep2.has_edge(a, b);
-        let mut scan = SupportStats::default();
-        // Proposition 3 (sound form): if no allowed order of the mapped
-        // pattern can be realized along dependency edges of G2, no trace of
-        // L2 matches it — skip the log scan.
-        if self.meter.is_exhausted() {
-            // Grace mode (see the method docs): exact, unfueled, cached.
-            self.tele.registry.inc(ids.grace_evals);
-            let support = if !is_realizable(&mapped, &edge_ok) {
-                self.tele.registry.inc(ids.existence_pruned);
-                0
-            } else {
-                self.tele.registry.inc(ids.log_scans);
-                match compiled {
-                    Some(cp) => compiled_pattern_support_stats(
-                        cp,
-                        images,
-                        ctx.columnar2(),
-                        ctx.index2(),
-                        &mut scan,
-                    ) as u32,
-                    None => {
-                        pattern_support_stats(&mapped, ctx.log2(), ctx.index2(), &mut scan) as u32
-                    }
-                }
-            };
-            self.absorb_scan(&scan);
-            self.cache.insert(key, support, self.owner);
-            return support;
-        }
-        let meter = &self.meter;
-        let mut fuel_polls = 0u64;
-        let mut fuel = || {
-            fuel_polls += 1;
-            meter.tick();
+        let out = if grace {
+            compute_support(ctx, compiled, p_idx, images, None)
+        } else {
+            let meter = &self.meter;
             // Only a deadline can latch inside a tick, so "not exhausted"
             // is exactly "the deadline has not tripped".
-            !meter.is_exhausted()
+            compute_support(
+                ctx,
+                compiled,
+                p_idx,
+                images,
+                Some(&mut || {
+                    meter.tick();
+                    !meter.is_exhausted()
+                }),
+            )
         };
-        let support = match is_realizable_with_fuel(&mapped, &edge_ok, &mut fuel) {
-            Ok(false) => {
-                self.tele.registry.inc(ids.existence_pruned);
-                Some(0)
-            }
-            Ok(true) => {
-                self.tele.registry.inc(ids.log_scans);
-                let scanned = match compiled {
-                    Some(cp) => compiled_pattern_support_with_fuel_stats(
-                        cp,
-                        images,
-                        ctx.columnar2(),
-                        ctx.index2(),
-                        &mut fuel,
-                        &mut scan,
-                    ),
-                    None => pattern_support_with_fuel_stats(
-                        &mapped,
-                        ctx.log2(),
-                        ctx.index2(),
-                        &mut fuel,
-                        &mut scan,
-                    ),
-                };
-                match scanned {
-                    Ok(s) => Some(s as u32),
-                    Err(Interrupted) => None,
-                }
-            }
-            Err(Interrupted) => None,
-        };
-        self.tele.registry.add(ids.fuel_spent, fuel_polls);
-        self.tele.profile.charge(WorkCol::MeterTicks, fuel_polls);
-        self.absorb_scan(&scan);
-        match support {
+        self.attribute(key, out, grace)
+    }
+
+    /// Applies one cache-miss outcome to the registry, the profile and
+    /// the cache, and returns the support the evaluation reports. Grace
+    /// evaluations are counted as such and never charge fuel. A completed
+    /// support is cached; an interrupted one reports `0` without caching
+    /// it — a later grace evaluation of the same key recomputes it
+    /// exactly — and records that this run's scores may now
+    /// under-estimate.
+    fn attribute(&mut self, key: SupportKey, out: SupportOutcome, grace: bool) -> u32 {
+        let ids = self.counters;
+        let reg = &mut self.tele.registry;
+        if grace {
+            reg.inc(ids.grace_evals);
+        }
+        match out.realizable {
+            Some(false) => reg.inc(ids.existence_pruned),
+            Some(true) => reg.inc(ids.log_scans),
+            None => {}
+        }
+        if !grace {
+            reg.add(ids.fuel_spent, out.fuel_polls);
+            self.tele
+                .profile
+                .charge(WorkCol::MeterTicks, out.fuel_polls);
+        }
+        self.absorb_scan(&out.scan);
+        match out.support {
             Some(support) => {
                 self.cache.insert(key, support, self.owner);
                 support
             }
             None => {
-                // Abandoned mid-flight: report 0 but do NOT cache it — a
-                // later grace evaluation of the same key recomputes it
-                // exactly — and record that this run's scores may now
-                // under-estimate.
                 self.tele.registry.inc(ids.interrupted_evals);
                 0
             }
@@ -943,9 +881,24 @@ impl<'a> Evaluator<'a> {
         // profile's non-deterministic section, never in the phase tree.
         let clock = self.tele.profile.lane_clock();
         let t0 = clock.now_nanos();
+        // Workers tick the meter only to observe the deadline
+        // ([`BudgetMeter::tick_worker`]), so for cap-only budgets they touch
+        // no shared state at all.
         let (outcomes, stats, lanes) =
             parpool::run_batch_traced(self.threads, &todo, Some(&clock), |key| {
-                compute_support_outcome(ctx, meter, engine, key.0 as usize, &key.1)
+                let (p_idx, images) = (key.0 as usize, &key.1[..]);
+                let compiled =
+                    select_compiled(engine, &ctx.patterns()[p_idx], images).and_then(Result::ok);
+                compute_support(
+                    ctx,
+                    compiled,
+                    p_idx,
+                    images,
+                    Some(&mut || {
+                        meter.tick_worker();
+                        !meter.is_exhausted()
+                    }),
+                )
             });
         self.tele
             .profile
@@ -1032,62 +985,57 @@ fn select_compiled<'c>(
     }
 }
 
-/// The worker-side body of [`Evaluator::prefetch_supports`]: the exact
-/// computation [`Evaluator::mapped_support`]'s fueled path performs, minus
-/// every side effect on cache, registry, or primary budget counters. Fuel
-/// polls only observe the deadline ([`BudgetMeter::tick_worker`]), so for
-/// cap-only budgets this touches no shared state at all.
-fn compute_support_outcome(
+/// One cache-miss support computation — Proposition 3's existence check,
+/// then the log scan — with every side effect on cache, registry and
+/// budget counters left to [`Evaluator::attribute`]. `fuel` is polled on
+/// every unit of work, so a deadline interrupts the computation; `None`
+/// runs it to completion (the grace path). The fueled inline path, the
+/// grace path and the prefetch workers all compute through here.
+fn compute_support(
     ctx: &MatchContext,
-    meter: &BudgetMeter,
-    engine: MatcherEngine,
+    compiled: Option<&CompiledPattern>,
     p_idx: usize,
     images: &[EventId],
-) -> PrefetchOutcome {
+    mut fuel: Option<&mut dyn FnMut() -> bool>,
+) -> SupportOutcome {
     let ep = &ctx.patterns()[p_idx];
-    let compiled = select_compiled(engine, ep, images).and_then(Result::ok);
     let dep2 = ctx.dep2();
     let mapped = ep.pattern.map_events(&|e| image_of(ep, e, images));
     let edge_ok = |a: EventId, b: EventId| dep2.has_edge(a, b);
     let mut fuel_polls = 0u64;
-    let mut fuel = || {
+    let mut poll = || {
         fuel_polls += 1;
-        meter.tick_worker();
-        !meter.is_exhausted()
+        fuel.as_mut().map_or(true, |fuel| fuel())
     };
+    // Proposition 3 (sound form): if no allowed order of the mapped
+    // pattern can be realized along dependency edges of G2, no trace of
+    // L2 matches it — skip the log scan.
+    let realizable = is_realizable_with_fuel(&mapped, &edge_ok, &mut poll).ok();
     let mut scan = SupportStats::default();
-    let (support, existence_pruned) = match is_realizable_with_fuel(&mapped, &edge_ok, &mut fuel) {
-        Ok(false) => (Some(0), true),
-        Ok(true) => {
-            let scanned = match compiled {
-                Some(cp) => compiled_pattern_support_with_fuel_stats(
-                    cp,
-                    images,
-                    ctx.columnar2(),
-                    ctx.index2(),
-                    &mut fuel,
-                    &mut scan,
-                ),
-                None => pattern_support_with_fuel_stats(
-                    &mapped,
-                    ctx.log2(),
-                    ctx.index2(),
-                    &mut fuel,
-                    &mut scan,
-                ),
+    let support = match realizable {
+        Some(false) => Some(0),
+        Some(true) => {
+            let matcher = match compiled {
+                Some(cp) => TraceMatcher::Compiled(cp, images),
+                None => TraceMatcher::Interpreted(&mapped),
             };
-            match scanned {
-                Ok(s) => (Some(s as u32), false),
-                Err(Interrupted) => (None, false),
-            }
+            support_scan(
+                matcher,
+                ctx.columnar2(),
+                ctx.index2(),
+                Some(&mut poll),
+                &mut scan,
+            )
+            .ok()
+            .map(|s| s as u32)
         }
-        Err(Interrupted) => (None, false),
+        None => None,
     };
-    PrefetchOutcome {
+    SupportOutcome {
         support,
+        realizable,
         fuel_polls,
         scan,
-        existence_pruned,
     }
 }
 

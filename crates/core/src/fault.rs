@@ -561,8 +561,16 @@ macro_rules! faultpoint {
 mod tests {
     use super::*;
 
+    /// Holds the lock every [`arm_scoped`] caller holds while armed,
+    /// without arming, so a sibling test cannot arm the global registry
+    /// under a test that asserts it is disarmed.
+    fn serial() -> MutexGuard<'static, ()> {
+        SCOPE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn disarmed_failpoints_are_noops() {
+        let _serial = serial();
         assert!(hit("nowhere").is_none());
         assert!(io_guard("nowhere").is_ok());
         assert!(!is_armed());
@@ -640,6 +648,7 @@ mod tests {
             let _guard = arm_scoped("s=panic", 0).unwrap();
             assert!(is_armed());
         }
+        let _serial = serial();
         assert!(!is_armed());
         assert!(hit("s").is_none());
     }

@@ -254,15 +254,14 @@ mod tests {
         let inv = ev.lookup("Inventory").unwrap();
         let ship = ev.lookup("Ship").unwrap();
         let cancel = ev.lookup("Cancel").unwrap();
-        for t in log.traces() {
-            let e = t.events();
+        for t in log.traces().iter() {
             // Receive always first.
-            assert_eq!(e[0], receive);
+            assert_eq!(t[0], receive);
             // Pay and Inventory both present, in some order, before the
             // choice outcome.
-            assert!(t.contains(pay) && t.contains(inv));
+            assert!(t.contains(&pay) && t.contains(&inv));
             // Exactly one of Ship/Cancel.
-            assert!(t.contains(ship) ^ t.contains(cancel));
+            assert!(t.contains(&ship) ^ t.contains(&cancel));
         }
     }
 
@@ -276,12 +275,12 @@ mod tests {
         let pay_first = log
             .traces()
             .iter()
-            .filter(|t| t.has_consecutive(pay, inv))
+            .filter(|t| t.windows(2).any(|w| w == [pay, inv]))
             .count();
         let inv_first = log
             .traces()
             .iter()
-            .filter(|t| t.has_consecutive(inv, pay))
+            .filter(|t| t.windows(2).any(|w| w == [inv, pay]))
             .count();
         assert!(pay_first > 50, "expected both interleavings: {pay_first}");
         assert!(inv_first > 50, "expected both interleavings: {inv_first}");

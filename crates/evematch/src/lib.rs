@@ -77,9 +77,8 @@ pub mod prelude {
         IngestOptions, LogBuilder, LogStats, Quarantine, Trace, TraceIndex,
     };
     pub use evematch_pattern::{
-        compiled_pattern_support, compiled_pattern_support_stats,
-        compiled_pattern_support_with_fuel, compiled_pattern_support_with_fuel_stats,
-        discover_patterns, parse_pattern, pattern_freq, pattern_support, CompileError,
-        CompiledPattern, DiscoveryConfig, Pattern, PatternGraph, STATE_BUDGET,
+        compiled_pattern_support_stats, discover_patterns, parse_pattern, pattern_freq,
+        pattern_support, CompileError, CompiledPattern, DiscoveryConfig, Pattern, PatternGraph,
+        STATE_BUDGET,
     };
 }

@@ -1,59 +1,75 @@
-//! Struct-of-arrays trace storage for the hot support-scan path.
+//! The trace store of an [`crate::EventLog`].
 //!
-//! [`crate::EventLog`] stores each trace as its own `Vec<EventId>` — fine
-//! for construction and projection, but a support scan that touches
-//! hundreds of thousands of candidate traces then chases one heap pointer
-//! per trace. [`ColumnarLog`] flattens every trace into a single interned
-//! event-id arena with an offsets column (classic CSR layout), so the
-//! compiled bit-parallel matcher streams contiguous memory. It is built
-//! once beside the existing [`crate::TraceIndex`] and is a pure view: the
-//! `EventLog` remains the source of truth.
+//! Every trace of a log lives in one interned event-id arena with an
+//! offsets column (classic CSR layout), so the support scans of both
+//! matcher engines stream contiguous memory instead of chasing one heap
+//! pointer per trace. [`crate::EventLog::traces`] returns this store;
+//! the builder, the readers and the generators append into it, and the
+//! dependency graph, trace index and statistics are computed from it.
 
 use crate::event::EventId;
 use crate::log::EventLog;
 
-/// A struct-of-arrays view of an [`EventLog`]: one flat event-id arena
-/// plus an offsets column (`offsets.len() == trace_count + 1`).
+/// The traces of a log: one flat event-id arena plus an offsets column
+/// (`offsets.len() == trace_count + 1`, `offsets[0] == 0`).
 ///
-/// `trace(t)` is the slice `arena[offsets[t]..offsets[t+1]]` — the same
-/// events, in the same order, as `log.traces()[t].events()`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// `trace(t)` is the slice `arena[offsets[t]..offsets[t+1]]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColumnarLog {
     /// Every trace's events, concatenated in trace order.
     arena: Vec<EventId>,
     /// `offsets[t]` = start of trace `t` in `arena`; the final entry is
     /// `arena.len()`.
     offsets: Vec<usize>,
-    /// Vocabulary size of the source log (`EventLog::event_count`), kept
-    /// so scans can run the same out-of-vocabulary guards without the
-    /// original log in hand.
-    event_count: usize,
+}
+
+impl Default for ColumnarLog {
+    /// The store of zero traces (a lone `0` offset).
+    fn default() -> Self {
+        ColumnarLog {
+            arena: Vec::new(),
+            offsets: vec![0],
+        }
+    }
 }
 
 impl ColumnarLog {
-    /// Flattens `log` into columnar form in one pass.
+    /// A copy of `log`'s trace store.
     pub fn from_log(log: &EventLog) -> Self {
-        let total: usize = log.traces().iter().map(|t| t.events().len()).sum();
-        let mut arena = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(log.len() + 1);
-        offsets.push(0);
-        for t in log.traces() {
-            arena.extend_from_slice(t.events());
-            offsets.push(arena.len());
-        }
+        log.traces().clone()
+    }
+
+    /// Appends one trace.
+    pub(crate) fn push(&mut self, events: impl IntoIterator<Item = EventId>) {
+        self.arena.extend(events);
+        self.offsets.push(self.arena.len());
+    }
+
+    /// Releases the growth slack of the arena and the offsets.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+    }
+
+    /// The first `n` traces (all of them when `n` exceeds the count).
+    pub(crate) fn prefix(&self, n: usize) -> ColumnarLog {
+        let n = n.min(self.len());
         ColumnarLog {
-            arena,
-            offsets,
-            event_count: log.event_count(),
+            arena: self.arena[..self.offsets[n]].to_vec(),
+            offsets: self.offsets[..=n].to_vec(),
         }
     }
 
     /// The events of trace `t`, as a contiguous slice of the arena.
-    /// Panics if `t` is out of range (same contract as indexing
-    /// `log.traces()`).
+    /// Panics if `t` is out of range.
     #[inline]
     pub fn trace(&self, t: usize) -> &[EventId] {
         &self.arena[self.offsets[t]..self.offsets[t + 1]]
+    }
+
+    /// Every trace, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[EventId]> + '_ {
+        self.offsets.windows(2).map(|w| &self.arena[w[0]..w[1]])
     }
 
     /// Number of traces.
@@ -61,14 +77,9 @@ impl ColumnarLog {
         self.offsets.len() - 1
     }
 
-    /// Whether the log holds no traces.
+    /// Whether the store holds no traces.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Vocabulary size of the source log.
-    pub fn event_count(&self) -> usize {
-        self.event_count
     }
 
     /// Total number of event occurrences across all traces (arena length).
@@ -90,30 +101,47 @@ mod tests {
         b.push_named_trace(["B"]);
         b.push_named_trace(["C", "A"]);
         let log = b.build();
-        let col = ColumnarLog::from_log(&log);
+        let col = log.traces();
         assert_eq!(col.len(), 3);
         assert_eq!(col.total_events(), 6);
-        assert_eq!(col.event_count(), log.event_count());
-        for (t, trace) in log.traces().iter().enumerate() {
-            assert_eq!(col.trace(t), trace.events());
-        }
+        let names: Vec<Vec<&str>> = col
+            .iter()
+            .map(|t| t.iter().map(|&e| log.events().name(e)).collect())
+            .collect();
+        assert_eq!(names, [vec!["A", "B", "C"], vec!["B"], vec!["C", "A"]]);
+        assert_eq!(ColumnarLog::from_log(&log), *col);
     }
 
     #[test]
     fn empty_log_and_empty_traces_are_representable() {
-        let empty = ColumnarLog::from_log(&LogBuilder::new().build());
-        assert!(empty.is_empty());
-        assert_eq!(empty.total_events(), 0);
+        let empty = LogBuilder::new().build();
+        assert!(empty.traces().is_empty());
+        assert_eq!(empty.traces().total_events(), 0);
 
         let mut b = LogBuilder::new();
         b.push_named_trace(["A"]);
         b.push_trace(Trace::from(Vec::<u32>::new()));
         b.push_named_trace(["A", "A"]);
-        let log = b.build();
-        let col = ColumnarLog::from_log(&log);
+        let col = b.build().traces().clone();
         assert_eq!(col.len(), 3);
-        assert_eq!(col.trace(0), log.traces()[0].events());
+        assert_eq!(col.trace(0), &[EventId(0)]);
         assert!(col.trace(1).is_empty());
         assert_eq!(col.trace(2).len(), 2);
+        assert_eq!(col.prefix(2).iter().count(), 2);
+        assert_eq!(col.prefix(9), col);
+        assert!(col.prefix(0).is_empty());
+    }
+
+    #[test]
+    fn defaults_hold_zero_traces() {
+        let col = ColumnarLog::default();
+        assert_eq!(col.len(), 0);
+        assert!(col.is_empty());
+        assert_eq!(col.iter().count(), 0);
+        let log = EventLog::default();
+        assert_eq!(log.len(), 0);
+        assert!(log.is_empty());
+        assert_eq!(log.traces().iter().count(), 0);
+        assert_eq!(log, LogBuilder::new().build());
     }
 }

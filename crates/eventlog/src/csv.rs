@@ -274,7 +274,7 @@ pub fn read_csv_log_with(
 pub fn write_csv_log(log: &EventLog, mut writer: impl Write) -> std::io::Result<()> {
     writeln!(writer, "case,activity")?;
     for (i, trace) in log.traces().iter().enumerate() {
-        for &e in trace.events() {
+        for &e in trace {
             writeln!(writer, "t{i},{}", quote(log.events().name(e)))?;
         }
     }
@@ -329,7 +329,7 @@ mod tests {
         let csv = "case,activity\no1,Receive\no1,Pay\no2,Receive\no2,Ship\n";
         let log = read_csv_log(csv.as_bytes()).unwrap();
         assert_eq!(log.len(), 2);
-        assert_eq!(log.traces()[0].len(), 2);
+        assert_eq!(log.traces().trace(0).len(), 2);
         let receive = log.events().lookup("Receive").unwrap();
         assert_eq!(log.vertex_support(receive), 2);
     }
@@ -340,8 +340,9 @@ mod tests {
         let log = read_csv_log(csv.as_bytes()).unwrap();
         assert_eq!(log.len(), 2);
         // Case B appeared first.
-        let names: Vec<&str> = log.traces()[0]
-            .events()
+        let names: Vec<&str> = log
+            .traces()
+            .trace(0)
             .iter()
             .map(|&e| log.events().name(e))
             .collect();
@@ -353,7 +354,7 @@ mod tests {
         let csv = "timestamp,Case,Activity,actor\n1,o1,Receive,ann\n2,o1,Ship,bob\n";
         let log = read_csv_log(csv.as_bytes()).unwrap();
         assert_eq!(log.len(), 1);
-        assert_eq!(log.traces()[0].len(), 2);
+        assert_eq!(log.traces().trace(0).len(), 2);
     }
 
     #[test]
@@ -409,9 +410,9 @@ mod tests {
         write_csv_log(&log, &mut buf).unwrap();
         let back = read_csv_log(buf.as_slice()).unwrap();
         assert_eq!(back.len(), log.len());
-        for (a, b) in log.traces().iter().zip(back.traces()) {
-            let na: Vec<&str> = a.events().iter().map(|&e| log.events().name(e)).collect();
-            let nb: Vec<&str> = b.events().iter().map(|&e| back.events().name(e)).collect();
+        for (a, b) in log.traces().iter().zip(back.traces().iter()) {
+            let na: Vec<&str> = a.iter().map(|&e| log.events().name(e)).collect();
+            let nb: Vec<&str> = b.iter().map(|&e| back.events().name(e)).collect();
             assert_eq!(na, nb);
         }
     }
@@ -423,7 +424,7 @@ mod tests {
         let csv = "case,activity\no1,Receive\no1\no1,Ship\n";
         let ingest = read_csv_log_with(csv.as_bytes(), &IngestOptions::lenient()).unwrap();
         assert_eq!(ingest.log.len(), 1);
-        assert_eq!(ingest.log.traces()[0].len(), 2);
+        assert_eq!(ingest.log.traces().trace(0).len(), 2);
         let e = &ingest.quarantine.entries()[0];
         assert_eq!(e.line, 3);
         assert_eq!(
@@ -440,7 +441,7 @@ mod tests {
         let csv: &[u8] = b"case,activity\no1,\"oops\no1,\xff\xfe\no1,fine\n";
         let ingest = read_csv_log_with(csv, &IngestOptions::lenient()).unwrap();
         assert_eq!(ingest.log.len(), 1);
-        assert_eq!(ingest.log.traces()[0].len(), 1);
+        assert_eq!(ingest.log.traces().trace(0).len(), 1);
         assert_eq!(
             ingest.quarantine.counts().get("unterminated_quote"),
             Some(&1)
@@ -493,8 +494,8 @@ mod tests {
         let opts = IngestOptions::lenient()
             .with_limits(IngestLimits::unlimited().with_max_trace_events(2));
         let ingest = read_csv_log_with(csv.as_bytes(), &opts).unwrap();
-        assert_eq!(ingest.log.traces()[0].len(), 2);
-        assert_eq!(ingest.log.traces()[1].len(), 1);
+        assert_eq!(ingest.log.traces().trace(0).len(), 2);
+        assert_eq!(ingest.log.traces().trace(1).len(), 1);
         assert_eq!(ingest.quarantine.counts().get("trace_too_long"), Some(&1));
     }
 

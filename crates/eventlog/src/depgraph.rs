@@ -4,6 +4,7 @@ use evematch_graph::{DiGraph, DiGraphBuilder, NodeId};
 
 use crate::event::EventId;
 use crate::log::EventLog;
+use crate::trace::consecutive_pairs;
 
 /// Event dependency graph `G(V, E, f)` (Definition 1):
 ///
@@ -44,13 +45,13 @@ impl DepGraph {
         let mut e_seen = vec![u32::MAX; n * n];
         for (i, t) in log.traces().iter().enumerate() {
             let stamp = i as u32;
-            for &e in t.events() {
+            for &e in t {
                 if v_seen[e.index()] != stamp {
                     v_seen[e.index()] = stamp;
                     vertex[e.index()] += 1;
                 }
             }
-            for (a, b) in t.consecutive_pairs() {
+            for (a, b) in consecutive_pairs(t) {
                 let k = a.index() * n + b.index();
                 if e_seen[k] != stamp {
                     e_seen[k] = stamp;

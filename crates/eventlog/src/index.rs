@@ -21,7 +21,7 @@ impl TraceIndex {
         let n = log.event_count();
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, t) in log.traces().iter().enumerate() {
-            for &e in t.events() {
+            for &e in t {
                 let list = &mut lists[e.index()];
                 // Events may repeat within a trace; the id is appended once.
                 if list.last() != Some(&(i as u32)) {

@@ -254,13 +254,13 @@ pub fn write_log(log: &EventLog, mut writer: impl Write) -> std::io::Result<()> 
         }
         writeln!(writer)?;
     }
-    for trace in log.traces() {
+    for trace in log.traces().iter() {
         if trace.is_empty() {
             writeln!(writer, "{EMPTY_TRACE}")?;
             continue;
         }
         let mut first = true;
-        for &e in trace.events() {
+        for &e in trace {
             if !first {
                 write!(writer, " ")?;
             }
@@ -285,14 +285,14 @@ mod tests {
         let log = roundtrip("# hello\nA B C\n\nA C B\n");
         assert_eq!(log.len(), 2);
         assert_eq!(log.event_count(), 3);
-        assert_eq!(log.traces()[1].len(), 3);
+        assert_eq!(log.traces().trace(1).len(), 3);
     }
 
     #[test]
     fn empty_marker_produces_empty_trace() {
         let log = roundtrip("A\n<empty>\nB\n");
         assert_eq!(log.len(), 3);
-        assert!(log.traces()[1].is_empty());
+        assert!(log.traces().trace(1).is_empty());
     }
 
     #[test]
@@ -309,9 +309,9 @@ mod tests {
         write_log(&log, &mut buf).unwrap();
         let again = read_log(buf.as_slice()).unwrap();
         assert_eq!(again.len(), log.len());
-        for (a, b) in log.traces().iter().zip(again.traces()) {
-            let names_a: Vec<_> = a.events().iter().map(|&e| log.events().name(e)).collect();
-            let names_b: Vec<_> = b.events().iter().map(|&e| again.events().name(e)).collect();
+        for (a, b) in log.traces().iter().zip(again.traces().iter()) {
+            let names_a: Vec<_> = a.iter().map(|&e| log.events().name(e)).collect();
+            let names_b: Vec<_> = b.iter().map(|&e| again.events().name(e)).collect();
             assert_eq!(names_a, names_b);
         }
     }
@@ -352,7 +352,7 @@ mod tests {
     fn whitespace_variants_are_tolerated() {
         let log = roundtrip("  A\t B  \n");
         assert_eq!(log.len(), 1);
-        assert_eq!(log.traces()[0].len(), 2);
+        assert_eq!(log.traces().trace(0).len(), 2);
     }
 
     use crate::ingest::{IngestLimits, IngestOptions, LimitKind, QuarantineCause};

@@ -6,7 +6,9 @@
 //! * an **event** is an interned, opaque name ([`EventId`], [`EventSet`]);
 //! * a **trace** is a finite sequence of events ordered by occurrence
 //!   ([`Trace`]);
-//! * an **event log** is a collection of traces ([`EventLog`]);
+//! * an **event log** is a collection of traces ([`EventLog`]), all stored
+//!   in one event-id arena ([`ColumnarLog`]) and read as `&[EventId]`
+//!   slices;
 //! * the **event dependency graph** (Definition 1) captures normalized
 //!   frequencies of events and of consecutive event pairs ([`DepGraph`]);
 //! * the **inverted trace index** `I_t` (Section 3.2.3) maps each event to

@@ -1,12 +1,14 @@
 //! Event logs: collections of traces over a shared vocabulary.
 
+use crate::columnar::ColumnarLog;
 use crate::depgraph::DepGraph;
 use crate::event::{EventId, EventSet};
 use crate::index::TraceIndex;
 use crate::stats::LogStats;
-use crate::trace::Trace;
+use crate::trace::{has_consecutive, Trace};
 
-/// An event log `L`: a collection of [`Trace`]s over an interned [`EventSet`].
+/// An event log `L`: a collection of traces over an interned [`EventSet`],
+/// stored in one event-id arena ([`ColumnarLog`]).
 ///
 /// All frequency queries follow Definition 1 of the paper: counts are
 /// per-trace ("the number of traces in `L` that ...", not the number of
@@ -14,20 +16,18 @@ use crate::trace::Trace;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EventLog {
     events: EventSet,
-    traces: Vec<Trace>,
+    traces: ColumnarLog,
 }
 
 impl EventLog {
     /// Creates a log from parts. Panics if a trace references an event id
     /// outside the vocabulary.
     pub fn new(events: EventSet, traces: Vec<Trace>) -> Self {
-        let n = events.len() as u32;
-        for t in &traces {
-            for &e in t.events() {
-                assert!(e.0 < n, "trace references unknown event {e:?}");
-            }
+        let mut b = LogBuilder::with_events(events);
+        for t in traces {
+            b.push_trace(t);
         }
-        EventLog { events, traces }
+        b.build()
     }
 
     /// The vocabulary of the log.
@@ -35,8 +35,8 @@ impl EventLog {
         &self.events
     }
 
-    /// The traces of the log.
-    pub fn traces(&self) -> &[Trace] {
+    /// The traces of the log: `traces().trace(t)` is trace `t` as a slice.
+    pub fn traces(&self) -> &ColumnarLog {
         &self.traces
     }
 
@@ -58,7 +58,7 @@ impl EventLog {
     /// Number of traces containing event `v` (the unnormalized vertex
     /// frequency of Definition 1).
     pub fn vertex_support(&self, v: EventId) -> usize {
-        self.traces.iter().filter(|t| t.contains(v)).count()
+        self.traces.iter().filter(|t| t.contains(&v)).count()
     }
 
     /// Number of traces where `a` is immediately followed by `b` at least
@@ -66,7 +66,7 @@ impl EventLog {
     pub fn edge_support(&self, a: EventId, b: EventId) -> usize {
         self.traces
             .iter()
-            .filter(|t| t.has_consecutive(a, b))
+            .filter(|t| has_consecutive(t, a, b))
             .count()
     }
 
@@ -100,7 +100,7 @@ impl EventLog {
     pub fn take_traces(&self, n: usize) -> EventLog {
         EventLog {
             events: self.events.clone(),
-            traces: self.traces.iter().take(n).cloned().collect(),
+            traces: self.traces.prefix(n),
         }
     }
 
@@ -119,16 +119,10 @@ impl EventLog {
                 remap[e.index()] = Some(events.intern(self.events.name(e)));
             }
         }
-        let traces = self
-            .traces
-            .iter()
-            .map(|t| {
-                t.events()
-                    .iter()
-                    .filter_map(|&e| remap[e.index()])
-                    .collect::<Trace>()
-            })
-            .collect();
+        let mut traces = ColumnarLog::default();
+        for t in self.traces.iter() {
+            traces.push(t.iter().filter_map(|&e| remap[e.index()]));
+        }
         (EventLog { events, traces }, remap)
     }
 }
@@ -142,11 +136,12 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-/// Incremental builder for [`EventLog`], interning event names on the fly.
+/// Incremental builder for [`EventLog`], interning event names on the fly
+/// and appending each trace straight into the log's arena.
 #[derive(Clone, Debug, Default)]
 pub struct LogBuilder {
     events: EventSet,
-    traces: Vec<Trace>,
+    traces: ColumnarLog,
 }
 
 impl LogBuilder {
@@ -159,7 +154,7 @@ impl LogBuilder {
     pub fn with_events(events: EventSet) -> Self {
         LogBuilder {
             events,
-            traces: Vec::new(),
+            traces: ColumnarLog::default(),
         }
     }
 
@@ -171,22 +166,22 @@ impl LogBuilder {
 
     /// Adds one trace given as event names, interning new names.
     pub fn push_named_trace<S: AsRef<str>>(&mut self, names: impl IntoIterator<Item = S>) {
-        let trace = names
-            .into_iter()
-            .map(|n| self.events.intern(n.as_ref()))
-            .collect();
-        self.traces.push(trace);
+        let events = &mut self.events;
+        self.traces
+            .push(names.into_iter().map(|n| events.intern(n.as_ref())));
     }
 
-    /// Adds one trace of already-interned ids. Panics on unknown ids.
-    pub fn push_trace(&mut self, trace: Trace) {
-        for &e in trace.events() {
+    /// Adds one trace of already-interned ids (a [`Trace`] or any event
+    /// slice). Panics on unknown ids.
+    pub fn push_trace(&mut self, trace: impl AsRef<[EventId]>) {
+        let trace = trace.as_ref();
+        for &e in trace {
             assert!(
                 e.index() < self.events.len(),
                 "trace references unknown event {e:?}"
             );
         }
-        self.traces.push(trace);
+        self.traces.push(trace.iter().copied());
     }
 
     /// Current number of traces.
@@ -200,7 +195,8 @@ impl LogBuilder {
     }
 
     /// Finalizes into an [`EventLog`].
-    pub fn build(self) -> EventLog {
+    pub fn build(mut self) -> EventLog {
+        self.traces.shrink_to_fit();
         EventLog {
             events: self.events,
             traces: self.traces,
@@ -284,7 +280,7 @@ mod tests {
         assert_eq!(remap[a.index()], Some(EventId(1)));
         // In the projected traces, A is now directly followed by D.
         assert_eq!(proj.edge_support(EventId(1), EventId(0)), 4);
-        assert_eq!(proj.traces()[0].events(), &[EventId(1), EventId(0)]);
+        assert_eq!(proj.traces().trace(0), &[EventId(1), EventId(0)]);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! Traces: finite event sequences ordered by occurrence time.
+//!
+//! A log stores its traces in one arena (see [`crate::ColumnarLog`]) and
+//! hands them out as `&[EventId]` slices; [`Trace`] is the owned form a
+//! caller builds before pushing it into a log.
+
+use std::ops::Deref;
 
 use crate::event::EventId;
 
@@ -7,6 +13,7 @@ use crate::event::EventId;
 ///
 /// Timestamps are abstracted away: the paper's model (Section 2.1) only
 /// consumes the *order* of events, so a trace is simply a `Vec<EventId>`.
+/// It dereferences to the `[EventId]` slice a stored trace is read as.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Trace {
     events: Vec<EventId>,
@@ -23,51 +30,19 @@ impl Trace {
     pub fn events(&self) -> &[EventId] {
         &self.events
     }
+}
 
-    /// Number of events in the trace.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.events.len()
+impl Deref for Trace {
+    type Target = [EventId];
+
+    fn deref(&self) -> &[EventId] {
+        &self.events
     }
+}
 
-    /// Whether the trace has no events.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Whether the trace contains event `e` at least once.
-    pub fn contains(&self, e: EventId) -> bool {
-        self.events.contains(&e)
-    }
-
-    /// Whether `a` is immediately followed by `b` somewhere in the trace.
-    ///
-    /// This is the "two consecutive events" relation of Definition 1; note
-    /// `a == b` asks whether the event repeats back to back.
-    pub fn has_consecutive(&self, a: EventId, b: EventId) -> bool {
-        self.events.windows(2).any(|w| w[0] == a && w[1] == b)
-    }
-
-    /// Iterates over consecutive event pairs.
-    pub fn consecutive_pairs(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
-        self.events.windows(2).map(|w| (w[0], w[1]))
-    }
-
-    /// Iterates over all contiguous substrings of length `k`.
-    pub fn windows(&self, k: usize) -> impl Iterator<Item = &[EventId]> + '_ {
-        // `slice::windows` panics on k == 0; an empty pattern never arises
-        // (patterns have ≥ 1 event) but be defensive for library callers.
-        self.events
-            .windows(k.max(1))
-            .take(if k == 0 { 0 } else { usize::MAX })
-    }
-
-    /// Returns the trace restricted to events satisfying `keep`, preserving
-    /// relative order. This is how the experiments project a log onto its
-    /// first *x* events (Section 6.1).
-    pub fn project(&self, keep: impl Fn(EventId) -> bool) -> Trace {
-        Trace::new(self.events.iter().copied().filter(|&e| keep(e)).collect())
+impl AsRef<[EventId]> for Trace {
+    fn as_ref(&self) -> &[EventId] {
+        &self.events
     }
 }
 
@@ -89,6 +64,21 @@ impl FromIterator<EventId> for Trace {
     }
 }
 
+/// Whether `a` is immediately followed by `b` somewhere in `trace`.
+///
+/// This is the "two consecutive events" relation of Definition 1; note
+/// `a == b` asks whether the event repeats back to back.
+pub(crate) fn has_consecutive(trace: &[EventId], a: EventId, b: EventId) -> bool {
+    trace.windows(2).any(|w| w[0] == a && w[1] == b)
+}
+
+/// Iterates over the consecutive event pairs of `trace`.
+pub(crate) fn consecutive_pairs(
+    trace: &[EventId],
+) -> impl Iterator<Item = (EventId, EventId)> + '_ {
+    trace.windows(2).map(|w| (w[0], w[1]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,48 +90,28 @@ mod tests {
     #[test]
     fn contains_and_consecutive() {
         let tr = t(&[0, 1, 2, 1]);
-        assert!(tr.contains(EventId(2)));
-        assert!(!tr.contains(EventId(3)));
-        assert!(tr.has_consecutive(EventId(1), EventId(2)));
-        assert!(tr.has_consecutive(EventId(2), EventId(1)));
-        assert!(!tr.has_consecutive(EventId(0), EventId(2)));
+        assert!(tr.contains(&EventId(2)));
+        assert!(!tr.contains(&EventId(3)));
+        assert!(has_consecutive(&tr, EventId(1), EventId(2)));
+        assert!(has_consecutive(&tr, EventId(2), EventId(1)));
+        assert!(!has_consecutive(&tr, EventId(0), EventId(2)));
     }
 
     #[test]
     fn repeated_event_consecutive() {
         let tr = t(&[5, 5]);
-        assert!(tr.has_consecutive(EventId(5), EventId(5)));
+        assert!(has_consecutive(&tr, EventId(5), EventId(5)));
     }
 
     #[test]
     fn consecutive_pairs_enumeration() {
         let tr = t(&[0, 1, 2]);
-        let pairs: Vec<_> = tr.consecutive_pairs().collect();
+        let pairs: Vec<_> = consecutive_pairs(&tr).collect();
         assert_eq!(
             pairs,
             vec![(EventId(0), EventId(1)), (EventId(1), EventId(2))]
         );
-        assert_eq!(t(&[7]).consecutive_pairs().count(), 0);
-        assert_eq!(t(&[]).consecutive_pairs().count(), 0);
-    }
-
-    #[test]
-    fn windows_of_length_k() {
-        let tr = t(&[0, 1, 2, 3]);
-        assert_eq!(tr.windows(2).count(), 3);
-        assert_eq!(tr.windows(4).count(), 1);
-        assert_eq!(tr.windows(5).count(), 0);
-        assert_eq!(tr.windows(0).count(), 0);
-    }
-
-    #[test]
-    fn projection_preserves_order() {
-        let tr = t(&[3, 0, 2, 1, 3]);
-        let p = tr.project(|e| e.0 <= 1);
-        assert_eq!(p, t(&[0, 1]));
-        let all = tr.project(|_| true);
-        assert_eq!(all, tr);
-        let none = tr.project(|_| false);
-        assert!(none.is_empty());
+        assert_eq!(consecutive_pairs(&t(&[7])).count(), 0);
+        assert_eq!(consecutive_pairs(&t(&[])).count(), 0);
     }
 }

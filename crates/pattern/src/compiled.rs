@@ -36,6 +36,13 @@
 //! never recompiles — the per-evaluation image tuple is applied as a
 //! reverse lookup (trace event → symbol) when scanning, so one compile
 //! per pattern serves every candidate mapping of the search.
+//!
+//! ## Scanning
+//!
+//! This module owns no support loop. A support count is one
+//! [`crate::support_scan`] with [`crate::TraceMatcher::Compiled`] as the
+//! per-trace predicate; the scan, not the engine, owns the candidate
+//! list, the out-of-vocabulary guard, fuel and the work counters.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -44,8 +51,8 @@ use std::str::FromStr;
 use evematch_eventlog::{ColumnarLog, EventId, TraceIndex};
 
 use crate::ast::{Pattern, MAX_AND_ARITY, MAX_DEPTH};
-use crate::frequency::SupportStats;
-use crate::matcher::Interrupted;
+use crate::frequency::{support_scan, SupportStats};
+use crate::matcher::TraceMatcher;
 
 /// Maximum number of automaton states — one bit of the `u64` state set
 /// each. Patterns needing more fall back to the interpreter with a typed
@@ -416,7 +423,7 @@ impl CompiledPattern {
     /// thread, and any thread reaching the accept configuration proves a
     /// matching window. `sym_of` maps a trace event to its pattern-local
     /// symbol, or [`NO_SYM`].
-    fn run(&self, trace: &[EventId], sym_of: impl Fn(EventId) -> u16) -> bool {
+    pub(crate) fn run(&self, trace: &[EventId], sym_of: impl Fn(EventId) -> u16) -> bool {
         if trace.len() < self.k || self.k == 0 {
             return false;
         }
@@ -466,23 +473,25 @@ impl CompiledPattern {
     }
 }
 
-/// Compiled-engine counterpart of [`crate::pattern_support`]: the number
-/// of traces of `log` matching the compiled pattern under `images`.
+/// The dense event-to-symbol table of the positional binding `images`
+/// over the events `0..len` (which must include every image), for the
+/// scans of one log: `table[images[i]] == i`, every other event maps to
+/// [`NO_SYM`].
+pub(crate) fn binding(images: &[EventId], len: usize) -> Vec<u16> {
+    let mut sym_of = vec![NO_SYM; len];
+    for (i, &e) in images.iter().enumerate() {
+        debug_assert_eq!(sym_of[e.index()], NO_SYM, "binding must be injective");
+        sym_of[e.index()] = i as u16;
+    }
+    sym_of
+}
+
+/// Compiled-engine support: the number of traces of `log` matching the
+/// compiled pattern under `images`, counted by [`crate::support_scan`]
+/// (so the work counters in `stats` are the interpreter's too).
 ///
 /// `index` must have been built from the same log as `log` and `images`
 /// must be pairwise distinct (see [`CompiledPattern::matches_trace`]).
-pub fn compiled_pattern_support(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    log: &ColumnarLog,
-    index: &TraceIndex,
-) -> usize {
-    compiled_pattern_support_stats(cp, images, log, index, &mut SupportStats::default())
-}
-
-/// [`compiled_pattern_support`], additionally accumulating work counters
-/// into `stats` — the **same** counters, at the same points, as the
-/// interpreted [`crate::pattern_support_stats`].
 pub fn compiled_pattern_support_stats(
     cp: &CompiledPattern,
     images: &[EventId],
@@ -490,95 +499,8 @@ pub fn compiled_pattern_support_stats(
     index: &TraceIndex,
     stats: &mut SupportStats,
 ) -> usize {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    let Some(sym_of) = scan_binding(cp, images, log) else {
-        return 0;
-    };
-    stats.index_probes += 1;
-    let mut matched = 0usize;
-    for t in index.traces_with_all(&sorted_images(images)) {
-        stats.candidate_traces += 1;
-        if cp.run(log.trace(t as usize), |e| sym_of[e.index()]) {
-            matched += 1;
-        }
-    }
-    stats.matched_traces += matched as u64;
-    matched
-}
-
-/// Compiled-engine counterpart of [`crate::pattern_support_with_fuel`]:
-/// polls `fuel` once per candidate trace and stops with [`Interrupted`]
-/// at **exactly** the same candidate boundary as the interpreter would.
-pub fn compiled_pattern_support_with_fuel(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    log: &ColumnarLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-) -> Result<usize, Interrupted> {
-    compiled_pattern_support_with_fuel_stats(
-        cp,
-        images,
-        log,
-        index,
-        fuel,
-        &mut SupportStats::default(),
-    )
-}
-
-/// [`compiled_pattern_support_with_fuel`], additionally accumulating work
-/// counters into `stats` (valid even on [`Interrupted`], mirroring the
-/// interpreted [`crate::pattern_support_with_fuel_stats`]).
-pub fn compiled_pattern_support_with_fuel_stats(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    log: &ColumnarLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-    stats: &mut SupportStats,
-) -> Result<usize, Interrupted> {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    let Some(sym_of) = scan_binding(cp, images, log) else {
-        return Ok(0);
-    };
-    stats.index_probes += 1;
-    let mut count = 0usize;
-    for t in index.traces_with_all(&sorted_images(images)) {
-        if !fuel() {
-            return Err(Interrupted);
-        }
-        stats.candidate_traces += 1;
-        if cp.run(log.trace(t as usize), |e| sym_of[e.index()]) {
-            count += 1;
-            stats.matched_traces += 1;
-        }
-    }
-    Ok(count)
-}
-
-/// The sorted image tuple — the mapped pattern's event set, as the
-/// interpreter's `p.events()` would produce it for an injective binding.
-fn sorted_images(images: &[EventId]) -> Vec<EventId> {
-    let mut sorted = images.to_vec();
-    sorted.sort_unstable();
-    sorted
-}
-
-/// The dense event→symbol reverse lookup for one support scan, or `None`
-/// when some image lies outside the log's vocabulary (the scan then
-/// reports support 0 *before* probing the index, exactly like the
-/// interpreter's out-of-vocabulary guard).
-fn scan_binding(cp: &CompiledPattern, images: &[EventId], log: &ColumnarLog) -> Option<Vec<u16>> {
-    debug_assert_eq!(images.len(), cp.k);
-    if images.iter().any(|e| e.index() >= log.event_count()) {
-        return None;
-    }
-    let mut sym_of = vec![NO_SYM; log.event_count()];
-    for (i, &e) in images.iter().enumerate() {
-        debug_assert_eq!(sym_of[e.index()], NO_SYM, "binding must be injective");
-        sym_of[e.index()] = i as u16;
-    }
-    Some(sym_of)
+    // Without fuel the scan cannot be interrupted.
+    support_scan(TraceMatcher::Compiled(cp, images), log, index, None, stats).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -708,27 +630,36 @@ mod tests {
         b.push_named_trace(["A", "B", "D"]);
         let log = b.build();
         let index = log.trace_index();
-        let col = ColumnarLog::from_log(&log);
         let p = p1();
         let cp = CompiledPattern::compile(&p).unwrap();
         let images = p.events();
+        let engines = [
+            TraceMatcher::Interpreted(&p),
+            TraceMatcher::Compiled(&cp, &images),
+        ];
 
         let mut istats = SupportStats::default();
-        let interp = crate::frequency::pattern_support_stats(&p, &log, &index, &mut istats);
+        let interp = support_scan(engines[0], log.traces(), &index, None, &mut istats);
         let mut cstats = SupportStats::default();
-        let compiled = compiled_pattern_support_stats(&cp, &images, &col, &index, &mut cstats);
-        assert_eq!(interp, 3);
-        assert_eq!(compiled, interp);
+        let compiled =
+            compiled_pattern_support_stats(&cp, &images, log.traces(), &index, &mut cstats);
+        assert_eq!(interp, Ok(3));
+        assert_eq!(Ok(compiled), interp);
         assert_eq!(cstats, istats, "work counters must be engine-independent");
 
         // Fuel parity: both engines stop at the same candidate boundary.
-        let mut units = 2u32;
-        let r = compiled_pattern_support_with_fuel(&cp, &images, &col, &index, &mut || {
-            let ok = units > 0;
-            units = units.saturating_sub(1);
-            ok
-        });
-        assert_eq!(r, Err(Interrupted));
+        for engine in engines {
+            let mut units = 2u32;
+            let mut fuel = || {
+                let ok = units > 0;
+                units = units.saturating_sub(1);
+                ok
+            };
+            let mut stats = SupportStats::default();
+            let r = support_scan(engine, log.traces(), &index, Some(&mut fuel), &mut stats);
+            assert_eq!(r, Err(crate::Interrupted));
+            assert_eq!(stats.candidate_traces, 2);
+        }
     }
 
     #[test]
@@ -737,11 +668,11 @@ mod tests {
         b.push_named_trace(["A", "B"]);
         let log = b.build();
         let index = log.trace_index();
-        let col = ColumnarLog::from_log(&log);
         let p = Pattern::seq(vec![e(0), e(1)]).unwrap();
         let cp = CompiledPattern::compile(&p).unwrap();
         let mut stats = SupportStats::default();
-        let s = compiled_pattern_support_stats(&cp, &ids(&[0, 99]), &col, &index, &mut stats);
+        let s =
+            compiled_pattern_support_stats(&cp, &ids(&[0, 99]), log.traces(), &index, &mut stats);
         assert_eq!(s, 0);
         assert_eq!(stats.index_probes, 0, "guard fires before the probe");
     }

@@ -133,7 +133,7 @@ fn frequent_windows(
     let mut seen_in_trace: BTreeMap<Vec<EventId>, usize> = BTreeMap::new();
     for (t_id, trace) in log.traces().iter().enumerate() {
         for len in 2..=max_len {
-            for w in trace.events().windows(len) {
+            for w in trace.windows(len) {
                 if has_duplicates(w) {
                     continue;
                 }

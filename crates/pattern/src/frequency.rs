@@ -3,13 +3,15 @@
 //! `f(p)` (Section 2.2) is the number of traces matching `p` divided by
 //! `|L|`. Counting scans only the traces containing *all* of the pattern's
 //! events, obtained from the inverted trace index `I_t` (Section 3.2.3).
+//! Every support count in the workspace runs through [`support_scan`]; the
+//! matcher engines only decide, per candidate trace, whether it matches.
 
-use evematch_eventlog::{EventLog, TraceIndex};
+use evematch_eventlog::{ColumnarLog, EventLog, TraceIndex};
 
 use crate::ast::Pattern;
 use crate::compiled::{CompileError, CompiledPattern};
 use crate::graph_form::{edge_groups, PatternGraph};
-use crate::matcher::{trace_matches, Interrupted};
+use crate::matcher::{Interrupted, TraceMatcher};
 
 /// Work counters of one (or several accumulated) support scans, for
 /// observability. Every field is deterministic.
@@ -17,91 +19,63 @@ use crate::matcher::{trace_matches, Interrupted};
 pub struct SupportStats {
     /// Inverted-index intersections performed (`I_t` probes).
     pub index_probes: u64,
-    /// Candidate traces scanned with `trace_matches`.
+    /// Candidate traces handed to the matcher engine.
     pub candidate_traces: u64,
     /// Candidate traces that actually matched.
     pub matched_traces: u64,
 }
 
-/// Number of traces of `log` matching `p`, counted over `⋂ I_t(v)`.
+/// The support scan: the number of traces of `traces` that `matcher`
+/// accepts, visiting only the candidates `⋂ I_t(v)` over the mapped
+/// pattern's events `v`.
 ///
-/// `index` must have been built from `log` (debug-asserted via the event
-/// count).
-pub fn pattern_support(p: &Pattern, log: &EventLog, index: &TraceIndex) -> usize {
-    pattern_support_stats(p, log, index, &mut SupportStats::default())
-}
-
-/// [`pattern_support`], additionally accumulating work counters into
-/// `stats`.
-pub fn pattern_support_stats(
-    p: &Pattern,
-    log: &EventLog,
+/// `index` must have been built from the same log as `traces`. A pattern
+/// mentioning an event outside the index's vocabulary has support 0, and
+/// the index is then not probed. With `fuel`, the scan polls it once per
+/// candidate trace (the unit of work) and stops with [`Interrupted`] as
+/// soon as it runs dry; the partial count is not returned, since an
+/// interrupted scan has no sound frequency. `stats` accumulates the work
+/// done, interrupted scans included.
+pub fn support_scan(
+    matcher: TraceMatcher<'_>,
+    traces: &ColumnarLog,
     index: &TraceIndex,
+    mut fuel: Option<&mut dyn FnMut() -> bool>,
     stats: &mut SupportStats,
-) -> usize {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    let events = p.events();
-    // A pattern mentioning an event outside the log's vocabulary can never
-    // match; guard so `traces_with` does not index out of bounds.
-    if events.iter().any(|e| e.index() >= log.event_count()) {
-        return 0;
+) -> Result<usize, Interrupted> {
+    let events = matcher.events();
+    // An event outside the vocabulary can never match; guard so
+    // `traces_with_all` does not index out of bounds.
+    if events.iter().any(|e| e.index() >= index.event_count()) {
+        return Ok(0);
     }
+    let matches = matcher.predicate(index.event_count());
     stats.index_probes += 1;
     let mut matched = 0usize;
     for t in index.traces_with_all(&events) {
+        if let Some(fuel) = fuel.as_mut() {
+            if !fuel() {
+                return Err(Interrupted);
+            }
+        }
         stats.candidate_traces += 1;
-        // tidy-allow: matcher-confinement -- this IS the interpreter engine's support scan; the compiled engine mirrors this loop verbatim
-        if trace_matches(p, &log.traces()[t as usize]) {
+        if matches(traces.trace(t as usize)) {
             matched += 1;
-        }
-    }
-    stats.matched_traces += matched as u64;
-    matched
-}
-
-/// [`pattern_support`] with cooperative interruption: `fuel` is polled once
-/// per candidate trace (the scan's unit of work, each a polynomial
-/// `trace_matches`), and the scan stops with [`Interrupted`] as soon as
-/// `fuel` runs dry. The partial count is deliberately not returned — an
-/// interrupted scan has no sound frequency.
-pub fn pattern_support_with_fuel(
-    p: &Pattern,
-    log: &EventLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-) -> Result<usize, Interrupted> {
-    pattern_support_with_fuel_stats(p, log, index, fuel, &mut SupportStats::default())
-}
-
-/// [`pattern_support_with_fuel`], additionally accumulating work counters
-/// into `stats` (valid even on [`Interrupted`]: probes and candidates
-/// scanned so far stay counted).
-pub fn pattern_support_with_fuel_stats(
-    p: &Pattern,
-    log: &EventLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-    stats: &mut SupportStats,
-) -> Result<usize, Interrupted> {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    let events = p.events();
-    if events.iter().any(|e| e.index() >= log.event_count()) {
-        return Ok(0);
-    }
-    stats.index_probes += 1;
-    let mut count = 0usize;
-    for t in index.traces_with_all(&events) {
-        if !fuel() {
-            return Err(Interrupted);
-        }
-        stats.candidate_traces += 1;
-        // tidy-allow: matcher-confinement -- this IS the interpreter engine's fueled support scan; the compiled engine mirrors this loop verbatim
-        if trace_matches(p, &log.traces()[t as usize]) {
-            count += 1;
             stats.matched_traces += 1;
         }
     }
-    Ok(count)
+    Ok(matched)
+}
+
+/// Number of traces of `log` matching `p`, counted by the interpreter
+/// through [`support_scan`].
+///
+/// `index` must have been built from `log`.
+pub fn pattern_support(p: &Pattern, log: &EventLog, index: &TraceIndex) -> usize {
+    let mut stats = SupportStats::default();
+    let matcher = TraceMatcher::Interpreted(p);
+    // Without fuel the scan cannot be interrupted.
+    support_scan(matcher, log.traces(), index, None, &mut stats).unwrap_or(0)
 }
 
 /// Normalized frequency `f(p) = pattern_support / |L|`.
@@ -215,20 +189,27 @@ mod tests {
         assert!((pattern_freq(&p, &l, &idx) - 0.75).abs() < 1e-12);
     }
 
+    /// A fuel closure granting `units` polls.
+    fn fuel_of(mut units: u32) -> impl FnMut() -> bool {
+        move || {
+            let ok = units > 0;
+            units = units.saturating_sub(1);
+            ok
+        }
+    }
+
     #[test]
     fn fueled_support_counts_or_interrupts() {
         let l = log();
         let idx = l.trace_index();
         let p = Pattern::seq(vec![e(0), Pattern::and(vec![e(1), e(2)]).unwrap(), e(3)]).unwrap();
-        assert_eq!(pattern_support_with_fuel(&p, &l, &idx, &mut || true), Ok(3));
+        let m = TraceMatcher::Interpreted(&p);
+        let mut stats = SupportStats::default();
+        let r = support_scan(m, l.traces(), &idx, Some(&mut || true), &mut stats);
+        assert_eq!(r, Ok(3));
         // Three candidate traces contain {A,B,C,D}; two units of fuel stop
         // the scan before the third.
-        let mut units = 2u32;
-        let r = pattern_support_with_fuel(&p, &l, &idx, &mut || {
-            let ok = units > 0;
-            units = units.saturating_sub(1);
-            ok
-        });
+        let r = support_scan(m, l.traces(), &idx, Some(&mut fuel_of(2)), &mut stats);
         assert_eq!(r, Err(Interrupted));
     }
 
@@ -237,25 +218,15 @@ mod tests {
         let l = log();
         let idx = l.trace_index();
         let p = Pattern::seq(vec![e(0), Pattern::and(vec![e(1), e(2)]).unwrap(), e(3)]).unwrap();
+        let m = TraceMatcher::Interpreted(&p);
         let mut stats = SupportStats::default();
-        assert_eq!(pattern_support_stats(&p, &l, &idx, &mut stats), 3);
+        assert_eq!(support_scan(m, l.traces(), &idx, None, &mut stats), Ok(3));
         assert_eq!(stats.index_probes, 1);
         assert_eq!(stats.candidate_traces, 3, "only {{A,B,C,D}} traces scanned");
         assert_eq!(stats.matched_traces, 3);
         // Interrupted scans keep the partial work counted.
         let mut stats = SupportStats::default();
-        let mut units = 2u32;
-        let r = pattern_support_with_fuel_stats(
-            &p,
-            &l,
-            &idx,
-            &mut || {
-                let ok = units > 0;
-                units = units.saturating_sub(1);
-                ok
-            },
-            &mut stats,
-        );
+        let r = support_scan(m, l.traces(), &idx, Some(&mut fuel_of(2)), &mut stats);
         assert_eq!(r, Err(Interrupted));
         assert_eq!(stats.index_probes, 1);
         assert_eq!(stats.candidate_traces, 2);

@@ -23,12 +23,13 @@
 //! * the graph form ([`PatternGraph`]) used by pattern-existence pruning
 //!   (Proposition 3) and by the Table-2 bounds;
 //! * matching and frequency evaluation ([`matches_window`],
-//!   [`trace_matches`], [`pattern_support`], [`pattern_freq`]) driven by the
-//!   inverted trace index `I_t`;
-//! * a bit-parallel compiled engine ([`CompiledPattern`],
-//!   [`compiled_pattern_support`]) proven byte-equivalent to the
-//!   interpreter, with a typed [`CompileError`] fallback and the
-//!   [`MatcherEngine`] selector;
+//!   [`trace_matches`], [`pattern_support`], [`pattern_freq`]): every
+//!   support count is one [`support_scan`] over the candidates of the
+//!   inverted trace index `I_t`, with the engine as a per-trace
+//!   [`TraceMatcher`];
+//! * a bit-parallel compiled engine ([`CompiledPattern`]) proven
+//!   byte-equivalent to the interpreter, with a typed [`CompileError`]
+//!   fallback and the [`MatcherEngine`] selector;
 //! * the inverted pattern index `I_p` ([`PatternIndex`], Section 3.2.1);
 //! * a frequent-episode-style pattern discovery pass
 //!   ([`discover_patterns`]) implementing the paper's Section-2.2
@@ -48,19 +49,15 @@ mod parser;
 
 pub use ast::{Pattern, PatternError, MAX_AND_ARITY, MAX_DEPTH};
 pub use compiled::{
-    compiled_pattern_support, compiled_pattern_support_stats, compiled_pattern_support_with_fuel,
-    compiled_pattern_support_with_fuel_stats, CompileError, CompiledPattern, MatcherEngine,
+    compiled_pattern_support_stats, CompileError, CompiledPattern, MatcherEngine,
     ParseMatcherEngineError, STATE_BUDGET,
 };
 pub use discovery::{discover_patterns, DiscoveryConfig};
-pub use frequency::{
-    pattern_freq, pattern_support, pattern_support_stats, pattern_support_with_fuel,
-    pattern_support_with_fuel_stats, EvaluatedPattern, SupportStats,
-};
+pub use frequency::{pattern_freq, pattern_support, support_scan, EvaluatedPattern, SupportStats};
 pub use graph_form::{edge_groups, PatternGraph};
 pub use index::PatternIndex;
 pub use matcher::{
     is_realizable, is_realizable_with_fuel, linearizations, matches_window, trace_matches,
-    Interrupted, MAX_ENUMERABLE_EVENTS,
+    Interrupted, TraceMatcher, MAX_ENUMERABLE_EVENTS,
 };
 pub use parser::{parse_pattern, ParsePatternError, MAX_PARSE_DEPTH};

@@ -13,9 +13,10 @@
 
 use std::cell::{Cell, RefCell};
 
-use evematch_eventlog::{EventId, Trace};
+use evematch_eventlog::EventId;
 
 use crate::ast::Pattern;
+use crate::compiled::{binding, CompiledPattern};
 
 /// A fueled search ran out of fuel before establishing its answer.
 ///
@@ -100,12 +101,54 @@ fn contains_event(p: &Pattern, e: EventId) -> bool {
 
 /// Whether `trace` matches `p` (Definition 4): some contiguous substring of
 /// the trace belongs to `I(p)`.
-pub fn trace_matches(p: &Pattern, trace: &Trace) -> bool {
+pub fn trace_matches(p: &Pattern, trace: &[EventId]) -> bool {
     let k = p.size();
     if trace.len() < k {
         return false;
     }
-    trace.events().windows(k).any(|w| match_exact(p, w))
+    trace.windows(k).any(|w| match_exact(p, w))
+}
+
+/// The engine that decides, trace by trace, whether a candidate of a
+/// support scan ([`crate::support_scan`]) matches the (mapped) pattern.
+/// Both engines accept exactly the same traces.
+#[derive(Clone, Copy, Debug)]
+pub enum TraceMatcher<'a> {
+    /// The AST interpreter ([`trace_matches`]) on the mapped pattern.
+    Interpreted(&'a Pattern),
+    /// The compiled automaton under the positional binding `images`
+    /// (pairwise distinct; see [`CompiledPattern::matches_trace`]).
+    Compiled(&'a CompiledPattern, &'a [EventId]),
+}
+
+impl<'a> TraceMatcher<'a> {
+    /// The mapped pattern's sorted event set: the traces a scan visits
+    /// are the ones containing all of it.
+    pub(crate) fn events(&self) -> Vec<EventId> {
+        match *self {
+            TraceMatcher::Interpreted(p) => p.events(),
+            TraceMatcher::Compiled(_, images) => {
+                let mut sorted = images.to_vec();
+                sorted.sort_unstable();
+                sorted
+            }
+        }
+    }
+
+    /// This engine as a per-trace predicate over traces of the events
+    /// `0..event_count`, which must include every event of
+    /// [`Self::events`]. The compiled engine's event-to-symbol table is
+    /// built here, once per scan.
+    pub(crate) fn predicate(self, event_count: usize) -> impl Fn(&[EventId]) -> bool + 'a {
+        let sym_of = match self {
+            TraceMatcher::Interpreted(_) => Vec::new(),
+            TraceMatcher::Compiled(_, images) => binding(images, event_count),
+        };
+        move |trace| match self {
+            TraceMatcher::Interpreted(p) => trace_matches(p, trace),
+            TraceMatcher::Compiled(cp, _) => cp.run(trace, |e| sym_of[e.index()]),
+        }
+    }
 }
 
 /// Materializes `I(p)`: every allowed event order, in a deterministic
@@ -290,6 +333,7 @@ fn realize_and(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evematch_eventlog::Trace;
 
     fn ev(i: u32) -> EventId {
         EventId(i)

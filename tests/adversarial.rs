@@ -109,13 +109,13 @@ fn empty_marker_edge_cases_are_handled_consistently() {
     // name, not a marker.
     let ingest = read_log_with("x<empty>\n".as_bytes(), &IngestOptions::strict()).unwrap();
     assert_eq!(ingest.log.len(), 1);
-    assert_eq!(ingest.log.traces()[0].len(), 1);
+    assert_eq!(ingest.log.traces().trace(0).len(), 1);
     assert!(ingest.log.events().lookup("x<empty>").is_some());
 
     // Marker surrounded by whitespace still counts as alone.
     let ingest = read_log_with("   <empty>   \n".as_bytes(), &IngestOptions::strict()).unwrap();
     assert_eq!(ingest.log.len(), 1);
-    assert!(ingest.log.traces()[0].is_empty());
+    assert!(ingest.log.traces().trace(0).is_empty());
 }
 
 #[test]
@@ -188,8 +188,10 @@ fn csv_hostile_rows_quarantine_in_lenient_and_fail_fast_in_strict() {
     assert_eq!(counts.get("unterminated_quote"), Some(&1));
     assert_eq!(counts.get("invalid_utf8"), Some(&1));
     // The good rows of case o1 survive in order.
-    let names: Vec<&str> = ingest.log.traces()[0]
-        .events()
+    let names: Vec<&str> = ingest
+        .log
+        .traces()
+        .trace(0)
         .iter()
         .map(|&e| ingest.log.events().name(e))
         .collect();
@@ -208,8 +210,9 @@ fn csv_quoting_and_header_case_are_tolerant() {
     let input = "Case,ACTIVITY\n\"o,1\",\"say \"\"hi\"\"\"\n\"o,1\",Done\n";
     let log = read_csv_log(input.as_bytes()).unwrap();
     assert_eq!(log.len(), 1);
-    let names: Vec<&str> = log.traces()[0]
-        .events()
+    let names: Vec<&str> = log
+        .traces()
+        .trace(0)
         .iter()
         .map(|&e| log.events().name(e))
         .collect();
@@ -333,7 +336,7 @@ fn out_of_vocabulary_images_yield_zero_support_without_probing() {
 
 #[test]
 fn columnar_log_handles_empty_and_singleton_traces() {
-    use evematch::pattern::CompiledPattern;
+    use evematch::pattern::{CompiledPattern, SupportStats};
     let mut b = LogBuilder::with_events(EventSet::from_names(["A", "B"]));
     b.push_trace(Trace::from(Vec::<u32>::new()));
     b.push_trace(Trace::from(vec![0u32]));
@@ -352,13 +355,25 @@ fn columnar_log_handles_empty_and_singleton_traces() {
     // and the pair trace, skips the empty ones — same as the interpreter.
     let single = Pattern::event(0u32);
     let cp = CompiledPattern::compile(&single).unwrap();
-    let compiled = compiled_pattern_support(&cp, &[EventId(0)], &col, &idx);
+    let compiled = compiled_pattern_support_stats(
+        &cp,
+        &[EventId(0)],
+        &col,
+        &idx,
+        &mut SupportStats::default(),
+    );
     assert_eq!(compiled, pattern_support(&single, &log, &idx));
     assert_eq!(compiled, 2);
     // And a two-event SEQ: only the pair trace can hold a length-2 window.
     let pair = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
     let cp = CompiledPattern::compile(&pair).unwrap();
-    let compiled = compiled_pattern_support(&cp, &[EventId(0), EventId(1)], &col, &idx);
+    let compiled = compiled_pattern_support_stats(
+        &cp,
+        &[EventId(0), EventId(1)],
+        &col,
+        &idx,
+        &mut SupportStats::default(),
+    );
     assert_eq!(compiled, pattern_support(&pair, &log, &idx));
     assert_eq!(compiled, 1);
 }

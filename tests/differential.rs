@@ -475,17 +475,19 @@ proptest! {
         log in log_strategy(6, 12),
         p in enumerable_pattern_strategy(),
     ) {
-        use evematch::pattern::{pattern_support_stats, SupportStats};
+        use evematch::pattern::{support_scan, SupportStats, TraceMatcher};
         let Ok(cp) = CompiledPattern::compile(&p) else {
             return Ok(());
         };
         let idx = log.trace_index();
         let col = ColumnarLog::from_log(&log);
+        let images = p.events();
         let mut int_stats = SupportStats::default();
         let mut cmp_stats = SupportStats::default();
-        let interpreted = pattern_support_stats(&p, &log, &idx, &mut int_stats);
-        let compiled = compiled_pattern_support_stats(&cp, &p.events(), &col, &idx, &mut cmp_stats);
-        prop_assert_eq!(interpreted, compiled, "support diverged on {:?}", p);
+        let interpreted =
+            support_scan(TraceMatcher::Interpreted(&p), &col, &idx, None, &mut int_stats);
+        let compiled = compiled_pattern_support_stats(&cp, &images, &col, &idx, &mut cmp_stats);
+        prop_assert_eq!(interpreted, Ok(compiled), "support diverged on {:?}", p);
         prop_assert_eq!(int_stats, cmp_stats, "work counters diverged on {:?}", p);
     }
 
@@ -499,37 +501,37 @@ proptest! {
         p in enumerable_pattern_strategy(),
         cap in 0u64..16,
     ) {
-        use evematch::pattern::{pattern_support_with_fuel_stats, SupportStats};
+        use evematch::pattern::{support_scan, SupportStats, TraceMatcher};
         let Ok(cp) = CompiledPattern::compile(&p) else {
             return Ok(());
         };
         let idx = log.trace_index();
         let col = ColumnarLog::from_log(&log);
+        let images = p.events();
         let mut int_stats = SupportStats::default();
         let mut cmp_stats = SupportStats::default();
         let mut int_left = cap;
         let mut cmp_left = cap;
-        let interpreted = pattern_support_with_fuel_stats(
-            &p,
-            &log,
+        let interpreted = support_scan(
+            TraceMatcher::Interpreted(&p),
+            &col,
             &idx,
-            &mut || {
+            Some(&mut || {
                 let go = int_left > 0;
                 int_left = int_left.saturating_sub(1);
                 go
-            },
+            }),
             &mut int_stats,
         );
-        let compiled = compiled_pattern_support_with_fuel_stats(
-            &cp,
-            &p.events(),
+        let compiled = support_scan(
+            TraceMatcher::Compiled(&cp, &images),
             &col,
             &idx,
-            &mut || {
+            Some(&mut || {
                 let go = cmp_left > 0;
                 cmp_left = cmp_left.saturating_sub(1);
                 go
-            },
+            }),
             &mut cmp_stats,
         );
         prop_assert_eq!(interpreted, compiled, "fueled verdict diverged on {:?}", p);

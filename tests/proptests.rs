@@ -143,11 +143,131 @@ proptest! {
                 .iter()
                 .filter(|t| {
                     lins.iter().any(|lin| {
-                        t.events().windows(lin.len()).any(|w| w == lin.as_slice())
+                        t.windows(lin.len()).any(|w| w == lin.as_slice())
                     })
                 })
                 .count();
             prop_assert_eq!(support, brute);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Trace store
+// ---------------------------------------------------------------------
+
+/// Raw traces over `0..n` as plain vectors: empty traces are allowed, and
+/// every drawn event is repeated one to three times back to back.
+fn raw_traces_strategy() -> impl Strategy<Value = (u32, Vec<Vec<u32>>)> {
+    let run = (0u32..4, 1usize..=3);
+    let trace = prop::collection::vec(run, 0..5);
+    (1u32..5, prop::collection::vec(trace, 0..10)).prop_map(|(n, traces)| {
+        let raw = traces
+            .into_iter()
+            .map(|runs| {
+                runs.into_iter()
+                    .flat_map(|(e, k)| std::iter::repeat(e % n).take(k))
+                    .collect()
+            })
+            .collect();
+        (n, raw)
+    })
+}
+
+fn build_log(n: u32, raw: &[Vec<u32>]) -> EventLog {
+    let names: Vec<String> = (0..n).map(|i| format!("e{i}")).collect();
+    let mut b = LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
+    for t in raw {
+        b.push_trace(Trace::from(t.clone()));
+    }
+    b.build()
+}
+
+fn ids(raw: &[u32]) -> Vec<EventId> {
+    raw.iter().copied().map(EventId).collect()
+}
+
+/// Oracle: number of raw traces containing `v`.
+fn raw_vertex_support(raw: &[Vec<u32>], v: u32) -> usize {
+    raw.iter().filter(|t| t.contains(&v)).count()
+}
+
+/// Oracle: number of raw traces where `a` is directly followed by `b`.
+fn raw_edge_support(raw: &[Vec<u32>], a: u32, b: u32) -> usize {
+    raw.iter()
+        .filter(|t| t.windows(2).any(|w| w == [a, b]))
+        .count()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every read of a log built through `LogBuilder` agrees with the
+    /// same quantity computed straight from the input vectors: the trace
+    /// slices, prefixes, projections, the dependency graph, the trace
+    /// index and both Definition-1 supports.
+    #[test]
+    fn trace_store_agrees_with_the_raw_traces(
+        (n, raw) in raw_traces_strategy(),
+        keep in prop::collection::vec(0u32..5, 0..6),
+        take in 0usize..12,
+    ) {
+        let log = build_log(n, &raw);
+        prop_assert_eq!(log.len(), raw.len());
+        prop_assert_eq!(log.is_empty(), raw.is_empty());
+        for (t, expected) in raw.iter().enumerate() {
+            let expected = ids(expected);
+            prop_assert_eq!(log.traces().trace(t), expected.as_slice());
+        }
+        let stored: Vec<Vec<EventId>> = log.traces().iter().map(<[EventId]>::to_vec).collect();
+        let expected: Vec<Vec<EventId>> = raw.iter().map(|t| ids(t)).collect();
+        prop_assert_eq!(&stored, &expected);
+
+        let prefix = log.take_traces(take);
+        prop_assert_eq!(prefix.event_count(), log.event_count());
+        let stored: Vec<Vec<EventId>> = prefix.traces().iter().map(<[EventId]>::to_vec).collect();
+        prop_assert_eq!(&stored[..], &expected[..take.min(raw.len())]);
+
+        let keep: Vec<EventId> = keep.into_iter().filter(|&e| e < n).map(EventId).collect();
+        let (proj, remap) = log.project_events(&keep);
+        let mut order: Vec<EventId> = Vec::new();
+        for &e in &keep {
+            if !order.contains(&e) {
+                order.push(e);
+            }
+        }
+        prop_assert_eq!(proj.event_count(), order.len());
+        for (old, slot) in remap.iter().enumerate() {
+            let new = order.iter().position(|&e| e.index() == old).map(|i| EventId(i as u32));
+            prop_assert_eq!(*slot, new);
+            if let Some(new) = new {
+                prop_assert_eq!(proj.events().name(new), log.events().name(EventId(old as u32)));
+            }
+        }
+        let projected: Vec<Vec<EventId>> = proj.traces().iter().map(<[EventId]>::to_vec).collect();
+        let expected_proj: Vec<Vec<EventId>> = raw
+            .iter()
+            .map(|t| t.iter().filter_map(|&e| remap[e as usize]).collect())
+            .collect();
+        prop_assert_eq!(projected, expected_proj);
+
+        let dep = log.dep_graph();
+        let index = log.trace_index();
+        prop_assert_eq!(dep.trace_count(), raw.len());
+        for v in 0..n {
+            let expected_v = raw_vertex_support(&raw, v);
+            prop_assert_eq!(log.vertex_support(EventId(v)), expected_v);
+            prop_assert_eq!(dep.vertex_support(EventId(v)) as usize, expected_v);
+            let postings: Vec<u32> = (0..raw.len() as u32)
+                .filter(|&t| raw[t as usize].contains(&v))
+                .collect();
+            prop_assert_eq!(index.traces_with(EventId(v)), postings.as_slice());
+            for w in 0..n {
+                let expected_e = raw_edge_support(&raw, v, w);
+                prop_assert_eq!(log.edge_support(EventId(v), EventId(w)), expected_e);
+                prop_assert_eq!(dep.edge_support(EventId(v), EventId(w)) as usize, expected_e);
+                prop_assert_eq!(dep.has_edge(EventId(v), EventId(w)), expected_e > 0);
+            }
         }
     }
 }
